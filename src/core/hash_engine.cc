@@ -75,6 +75,12 @@ void HashEngine::AdoptRecordHashes(const HashEngine& src, RecordId src_r,
   }
 }
 
+void HashEngine::DropHashes(std::span<const RecordId> records) {
+  for (HashCache& cache : caches_) {
+    for (RecordId r : records) cache.Drop(r);
+  }
+}
+
 uint64_t HashEngine::TableKey(RecordId r, const TablePlan& table) const {
   uint64_t key = 0x5ca1ab1e0adab1e5ULL;
   for (const TablePart& part : table.parts) {

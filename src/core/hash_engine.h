@@ -52,6 +52,10 @@ class HashEngine {
   /// from the ingesting thread, outside any concurrent hash pass.
   void GrowTo(size_t num_records);
 
+  /// Forgets every cached hash of `records`, so the next EnsureHashes
+  /// recomputes them from scratch (the incremental-reuse ablation).
+  void DropHashes(std::span<const RecordId> records);
+
   /// Bucket key of record r for one table of `plan`. EnsureHashes must have
   /// covered the plan for r.
   uint64_t TableKey(RecordId r, const TablePlan& table) const;

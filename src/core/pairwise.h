@@ -99,6 +99,8 @@ class PairwiseComputer {
   /// Deterministic for a given input at any thread count.
   uint64_t total_similarities() const { return total_similarities_; }
 
+  const MatchRule& rule() const { return *rule_; }
+
  private:
   /// The seed's strictly serial sweep (closure check, evaluate, merge per
   /// pair) — the semantic reference the tiled path must reproduce.

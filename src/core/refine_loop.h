@@ -2,6 +2,7 @@
 #define ADALSH_CORE_REFINE_LOOP_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "clustering/parent_pointer_forest.h"
@@ -12,23 +13,56 @@
 #include "core/pairwise.h"
 #include "core/transitive_hash_function.h"
 #include "obs/observer.h"
+#include "obs/trace_recorder.h"
+#include "util/rng.h"
 #include "util/run_controller.h"
 
 namespace adalsh {
 
-/// The Algorithm 1 refinement round loop with canonical Largest-First
-/// selection, extracted from the resident engine so every execution context
-/// that must agree byte-for-byte — the resident engine's per-mutation
-/// refinement, each shard's local run, and the cross-shard merge pass
-/// (docs/sharding.md) — drives the identical code.
+/// State of Line 5 under JumpModel::kSampledPurity, which persists across
+/// rounds: the probe RNG and the probe evaluations charged so far. Probes
+/// count toward their round's and the run's pairwise similarities and toward
+/// the controller's pairwise budget.
+struct SampledPurityJump {
+  explicit SampledPurityJump(uint64_t seed) : rng(seed) {}
+  Rng rng;
+  uint64_t evaluations = 0;
+};
+
+/// The only implementation of Algorithm 1's lines 2-10: pop the largest
+/// pending cluster (Largest-First), certify it when H_L or P produced it,
+/// otherwise decide by Line 5 between the next hashing function H_{i+1} and
+/// the pairwise function P, apply it and re-file the pieces — until k finals
+/// are certified or the candidates drain. Four callers drive it, so every
+/// execution context that must agree with another byte for byte runs the
+/// same code:
+///   * AdaptiveLsh::Run, after its whole-dataset H_1 pass (line 1);
+///   * StreamingAdaptiveLsh::TopK, over the clusters ingested so far;
+///   * ResidentEngine::RefineLocked, once per mutation batch (every shard of
+///     a ShardedEngine is one);
+///   * the ShardedEngine's cross-shard merge (docs/sharding.md).
+/// AdaptiveLsh's non-Largest-First selection ablation calls RefineRound
+/// (lines 4-10) directly in its own order.
 ///
-/// Selection is a total, history-independent order: cluster size descending,
-/// ties by ascending smallest per-record order key (the resident engine and
-/// the sharded merge use external ids, which are unique per cluster, so the
-/// root id never actually decides). Selection order cannot change final
-/// cluster membership — refinement of a (member set, level) cluster is
-/// deterministic in isolation — but a canonical order makes the emitted
-/// finals, round schedule and anytime prefixes reproducible.
+/// Two selection queues stay, because both schedules are pinned:
+///   * with RefineLoopDeps::order_key, a canonical total order — size
+///     descending, ties by the smallest per-record order key — that makes
+///     the engines' schedule independent of engine history (the engine_smoke
+///     golden, the confluence suites and the benchmark's serve counts);
+///   * without it, the log-bin BinIndex of Appendix B.4, where insertion
+///     order breaks ties (batch and streaming: tests/golden/
+///     adalsh_schedule.golden and the benchmark's batch counts).
+/// Selection order never changes final cluster membership — refining a
+/// (member set, level) cluster is deterministic in isolation — only the
+/// schedule, its cost and which clusters an anytime stop returns.
+///
+/// Controller contract: the caller resolves and arms the RunController
+/// (core/termination.h ResolveController) with the zero points its budgets
+/// count from — the batch run at entry, so its H_1 pass counts against the
+/// budget and the deadline; the engines and streaming with their cumulative
+/// counters — and passes it in (null: uncontrolled). The loop attaches it to
+/// the hasher and the pairwise computer for its duration, checks it at every
+/// round boundary and never re-arms it.
 struct RefineLoopDeps {
   const FunctionSequence* sequence = nullptr;
   const CostModel* cost_model = nullptr;
@@ -42,34 +76,85 @@ struct RefineLoopDeps {
   std::vector<int>* last_fn = nullptr;
 
   /// Per internal record: the canonical tie-break key (the resident engine's
-  /// external id; the batch executor's global record id). Must be unique per
-  /// record so the selection order is total.
+  /// external id; the sharded merge's global external id), unique per record
+  /// so the selection order is total. Null selects the BinIndex queue.
   const std::vector<uint64_t>* order_key = nullptr;
 
   /// Optional per-record record->leaf map, refreshed for every tree a
-  /// completed round produces (resident engine bookkeeping). May be null.
+  /// completed round produces (engine and streaming bookkeeping).
   std::vector<NodeId>* leaf_of = nullptr;
+
+  /// Line 5 under JumpModel::kSampledPurity; null is Definition 3's
+  /// conservative rule (see SampledPurityJump).
+  SampledPurityJump* sampled_jump = nullptr;
+
+  /// AdaptiveLshConfig::ablate_incremental_reuse: every H_{i+1} application
+  /// first drops the cluster's cached hashes, so it recomputes them from
+  /// scratch instead of extending them.
+  bool ablate_incremental_reuse = false;
 
   Instrumentation instrumentation;
 };
 
-/// Runs the loop from `initial_roots` (deduplicated current tree roots, any
-/// mix of verification levels) until k finals are certified or the candidate
-/// set drains, honoring `controller`/`budget` at round boundaries exactly
-/// like ResidentEngine::RefineLocked always has. On kCompleted, `finals`
-/// holds the certified roots in canonical (pop) order.
-///
-/// Fills the loop's share of `stats`: rounds, round_records, hash/pairwise
-/// totals, filtering_seconds, modeled_cost, termination_reason and
-/// cluster_verification. The caller owns the per-record Definition 3
-/// snapshot (records_last_hashed_at) and the ReportTermination epilogue,
-/// which need the caller's live-record iteration.
-TerminationReason RunRefineLoop(const RefineLoopDeps& deps, int k,
-                                const std::vector<NodeId>& initial_roots,
-                                RunController* external,
-                                const RunBudget& budget,
-                                std::vector<NodeId>* finals,
+/// Round-boundary cooperative check: reports the hash and pairwise totals
+/// (jump probes included) to `controller` and asks whether to stop. False
+/// when `controller` is null.
+bool StopAtRoundBoundary(const RefineLoopDeps& deps, RunController* controller);
+
+/// Closes one round whose record already carries its counter deltas and
+/// timings: annotates `span`, adds the counters to the totals of `stats`,
+/// appends the record to stats->round_records, records the round metrics and
+/// fires Observer::OnRoundEnd. The batch H_1 pass closes its round with it.
+void FinishRound(const Instrumentation& instr, const RoundRecord& round,
+                 TraceRecorder::Span* span, FilterStats* stats);
+
+/// Lines 4-10 on the non-final cluster `root`: Line 5's jump decision, then
+/// H_{i+1} (Line 8) or P (Line 6) as one round of `stats`. Returns the roots
+/// to re-file: the new clusters, or `root` itself when the controller
+/// interrupted the sweep — the round is discarded and the cluster keeps its
+/// level and leaf_of entries (docs/robustness.md).
+std::vector<NodeId> RefineRound(const RefineLoopDeps& deps, NodeId root,
                                 FilterStats* stats);
+
+/// Lines 2-10 from `initial_roots` (deduplicated current tree roots, any mix
+/// of verification levels). `on_final(rank, root)` (optional) fires as each
+/// certified final is popped, the Section 4.2 incremental mode. When the
+/// controller stops the loop, the largest pending clusters fill `finals` up
+/// to k at whatever level they reached (no callback); the engines keep their
+/// previous snapshot on such a pass and ignore `finals`. Otherwise `finals`
+/// holds the certified roots in pop (non-increasing size) order.
+///
+/// Adds the loop's rounds and counters to the totals already in `stats` and
+/// its wall time to filtering_seconds, then closes the stats with
+/// FinishRefinement. The caller owns the per-record Definition 3 snapshot
+/// (CountLastFunctions) and the ReportTermination epilogue.
+TerminationReason RunRefineLoop(
+    const RefineLoopDeps& deps, int k, const std::vector<NodeId>& initial_roots,
+    RunController* controller, std::vector<NodeId>* finals, FilterStats* stats,
+    const std::function<void(size_t rank, NodeId root)>& on_final = {});
+
+/// Sets the refinement's termination_reason, its Definition 3 modeled_cost
+/// over the totals of `stats` (a batch run's H_1 round included) and its
+/// cluster_verification, parallel to `finals`.
+void FinishRefinement(const RefineLoopDeps& deps, RunController* controller,
+                      const std::vector<NodeId>& finals, FilterStats* stats);
+
+/// Definition 3's per-record snapshot: every record `include(r)` accepts is
+/// counted once, under the last function applied to it (filter_output.h
+/// invariants).
+template <typename Include>
+void CountLastFunctions(const std::vector<int>& last_fn, size_t num_functions,
+                        Include include, FilterStats* stats) {
+  stats->records_last_hashed_at.assign(num_functions, 0);
+  for (RecordId r = 0; r < last_fn.size(); ++r) {
+    if (!include(r)) continue;
+    if (last_fn[r] == kLastFunctionPairwise) {
+      ++stats->records_finished_by_pairwise;
+    } else {
+      ++stats->records_last_hashed_at[last_fn[r]];
+    }
+  }
+}
 
 }  // namespace adalsh
 

@@ -5,11 +5,9 @@
 #include <unordered_set>
 #include <utility>
 
-#include "clustering/bin_index.h"
 #include "clustering/clustering.h"
+#include "core/refine_loop.h"
 #include "core/termination.h"
-#include "obs/metrics_registry.h"
-#include "obs/trace_recorder.h"
 #include "util/check.h"
 #include "util/timer.h"
 
@@ -44,11 +42,6 @@ StreamingAdaptiveLsh::StreamingAdaptiveLsh(const Dataset& dataset,
   last_fn_.assign(dataset.num_records(), 0);
 }
 
-void StreamingAdaptiveLsh::ReindexLeaves(NodeId root) {
-  forest_.ForEachLeafNode(
-      root, [this](RecordId r, NodeId leaf) { leaf_of_[r] = leaf; });
-}
-
 void StreamingAdaptiveLsh::Add(RecordId r) {
   ADALSH_CHECK_LT(r, dataset_->num_records());
   ADALSH_CHECK_EQ(leaf_of_[r], kInvalidNode) << "record added twice";
@@ -57,7 +50,6 @@ void StreamingAdaptiveLsh::Add(RecordId r) {
   last_fn_[r] = 0;  // arrival evidence is level-1 only
   ++num_added_;
 
-  bool merged_any = false;
   for (size_t t = 0; t < plan.tables.size(); ++t) {
     uint64_t key = engine_.TableKey(r, plan.tables[t]);
     auto [it, inserted] = level1_tables_[t].try_emplace(key, r);
@@ -74,13 +66,11 @@ void StreamingAdaptiveLsh::Add(RecordId r) {
       // New member joined on level-1 evidence: the cluster must be
       // re-verified by a later TopK().
       forest_.SetProducer(other_root, 0);
-      merged_any = true;
     } else {
       NodeId my_root = forest_.FindRoot(leaf_of_[r]);
       if (my_root != other_root) {
         NodeId survivor = forest_.Merge(my_root, other_root);
         forest_.SetProducer(survivor, 0);
-        merged_any = true;
       }
     }
     it->second = r;
@@ -88,7 +78,6 @@ void StreamingAdaptiveLsh::Add(RecordId r) {
   if (plan.tables.empty() && leaf_of_[r] == kInvalidNode) {
     forest_.MakeTree(r, 0, &leaf_of_[r]);
   }
-  arrivals_merged_ += merged_any ? 1 : 0;
 }
 
 Status StreamingAdaptiveLsh::Extend(std::span<const RecordId> records) {
@@ -134,173 +123,53 @@ FilterOutput StreamingAdaptiveLsh::TopK(int k) {
   ADALSH_CHECK_GE(k, 1);
   ADALSH_CHECK_GT(num_added_, 0u) << "TopK before any Add";
   Timer timer;
-  const int last_function = static_cast<int>(sequence_.size()) - 1;
 
   // Current clusters: distinct roots over all added records.
-  BinIndex bins(dataset_->num_records());
+  std::vector<NodeId> roots;
   {
     std::unordered_set<NodeId> seen;
     for (RecordId r = 0; r < leaf_of_.size(); ++r) {
       if (leaf_of_[r] == kInvalidNode) continue;
-      NodeId root = forest_.FindRoot(leaf_of_[r]);
-      if (seen.insert(root).second) {
-        bins.Insert(root, forest_.LeafCount(root));
-      }
+      const NodeId root = forest_.FindRoot(leaf_of_[r]);
+      if (seen.insert(root).second) roots.push_back(root);
     }
   }
-
-  const Instrumentation instr = config_.instrumentation;
-  FilterStats stats;
-  uint64_t sims_before = pairwise_.total_similarities();
-  uint64_t hashes_before = engine_.total_hashes_computed();
 
   // Anytime execution (docs/robustness.md). The engine and the pairwise
   // computer are long-lived and their counters are cumulative across the
   // stream, so the controller is armed with the current totals as the zero
-  // points of this call's budgets; the persistent hasher/pairwise borrow the
-  // controller only for the duration of this call.
+  // points of this call's budgets.
   std::optional<RunController> local_controller;
-  RunController* controller =
-      ResolveController(config_.controller, config_.budget, &local_controller,
-                        hashes_before, sims_before);
-  hasher_.set_controller(controller);
-  pairwise_.set_controller(controller);
-  auto stop_now = [&] {
-    if (controller == nullptr) return false;
-    controller->ReportHashes(engine_.total_hashes_computed());
-    controller->ReportPairwise(pairwise_.total_similarities());
-    return controller->ShouldStop();
-  };
+  RunController* controller = ResolveController(
+      config_.controller, config_.budget, &local_controller,
+      engine_.total_hashes_computed(), pairwise_.total_similarities());
 
+  RefineLoopDeps deps;
+  deps.sequence = &sequence_;
+  deps.cost_model = &cost_model_;
+  deps.engine = &engine_;
+  deps.hasher = &hasher_;
+  deps.pairwise = &pairwise_;
+  deps.forest = &forest_;
+  deps.last_fn = &last_fn_;
+  // Track the new leaves so future arrivals and TopK calls resolve the
+  // current cluster of every record.
+  deps.leaf_of = &leaf_of_;
+  deps.instrumentation = config_.instrumentation;
   std::vector<NodeId> finals;
-  while (finals.size() < static_cast<size_t>(k) && !bins.empty()) {
-    if (stop_now()) break;  // round boundary (anytime exit)
-    NodeId root = bins.PopLargest();
-    int producer = forest_.Producer(root);
-    if (producer == kProducerPairwise || producer == last_function) {
-      finals.push_back(root);
-      continue;
-    }
-    std::vector<RecordId> records = forest_.Leaves(root);
-    int next = producer + 1;
-
-    RoundRecord round;
-    round.round = stats.rounds + 1;
-    round.cluster_size = records.size();
-    const uint64_t round_hashes_before = engine_.total_hashes_computed();
-    const uint64_t round_sims_before = pairwise_.total_similarities();
-    Timer round_timer;
-    TraceRecorder::Span round_span(instr.trace, "round", "round");
-    if (instr.observer != nullptr) {
-      RoundStartInfo start;
-      start.round = round.round;
-      start.cluster_size = records.size();
-      start.producer = producer;
-      instr.observer->OnRoundStart(start);
-    }
-
-    // Interruption handling, as in AdaptiveLsh::Run: an interrupted sweep's
-    // partial trees are orphaned, the original tree (and leaf_of_, which
-    // still points into it) is untouched, and the cluster keeps its previous
-    // verification level.
-    bool interrupted = false;
-    std::vector<NodeId> new_roots;
-    if (cost_model_.ShouldJumpToPairwise(sequence_.budget(producer),
-                                         sequence_.budget(next),
-                                         records.size())) {
-      round.action = RoundAction::kPairwise;
-      round.modeled_cost = cost_model_.PairwiseCost(records.size());
-      new_roots = pairwise_.Apply(records, &forest_);
-      round.pairwise_seconds = round_timer.ElapsedSeconds();
-      interrupted = pairwise_.last_apply_interrupted();
-      if (!interrupted) {
-        for (RecordId r : records) last_fn_[r] = kLastFunctionPairwise;
-      }
-    } else {
-      round.action = RoundAction::kHash;
-      round.function_index = next;
-      round.modeled_cost =
-          cost_model_.HashUpgradeCost(sequence_.budget(producer),
-                                      sequence_.budget(next)) *
-          static_cast<double>(records.size());
-      new_roots = hasher_.Apply(records, sequence_.plan(next), next);
-      round.hash_seconds = round_timer.ElapsedSeconds();
-      interrupted = hasher_.last_apply_interrupted();
-      if (!interrupted) {
-        for (RecordId r : records) last_fn_[r] = next;
-      }
-    }
-    round.interrupted = interrupted;
-    round.hashes_computed =
-        engine_.total_hashes_computed() - round_hashes_before;
-    round.pairwise_similarities =
-        pairwise_.total_similarities() - round_sims_before;
-    round.wall_seconds = round_timer.ElapsedSeconds();
-    ++stats.rounds;
-    if (instr.metrics != nullptr) {
-      instr.metrics->AddCounter("rounds", 1);
-      instr.metrics->RecordValue("round_cluster_size",
-                                 static_cast<double>(round.cluster_size));
-      instr.metrics->RecordValue("round_wall_seconds", round.wall_seconds);
-    }
-    stats.round_records.push_back(round);
-    if (instr.observer != nullptr) {
-      instr.observer->OnRoundEnd(stats.round_records.back());
-    }
-
-    if (interrupted) {
-      // Discard the round: do NOT reindex (leaf_of_ must keep pointing into
-      // the original tree). The stuck controller ends the loop at its next
-      // check; the fill below may still return this cluster.
-      bins.Insert(root, forest_.LeafCount(root));
-      continue;
-    }
-    for (NodeId new_root : new_roots) {
-      // Track the new leaves so future arrivals and TopK calls resolve the
-      // current cluster of every record.
-      ReindexLeaves(new_root);
-      bins.Insert(new_root, forest_.LeafCount(new_root));
-    }
-  }
-  if (controller != nullptr && controller->stopped()) {
-    // Graceful degradation: the largest pending clusters complete the top-k
-    // at their current verification level (pops stay non-increasing, so the
-    // ranking is preserved).
-    while (finals.size() < static_cast<size_t>(k) && !bins.empty()) {
-      finals.push_back(bins.PopLargest());
-    }
-  }
-  // Detach before returning: a run-local controller dies with this call, and
-  // Add() must never observe a stale pointer.
-  hasher_.set_controller(nullptr);
-  pairwise_.set_controller(nullptr);
+  FilterStats stats;
+  RunRefineLoop(deps, k, roots, controller, &finals, &stats);
 
   FilterOutput output;
   output.clusters = MaterializeClusters(forest_, finals);
-  FillClusterVerification(forest_, finals, &stats);
   output.clusters.SortBySizeDescending();
-  stats.termination_reason = controller != nullptr
-                                 ? controller->reason()
-                                 : TerminationReason::kCompleted;
   stats.filtering_seconds = timer.ElapsedSeconds();
-  stats.pairwise_similarities = pairwise_.total_similarities() - sims_before;
-  stats.hashes_computed = engine_.total_hashes_computed() - hashes_before;
-  // Definition 3 snapshot over every added record: each is counted exactly
-  // once, under the last function applied to it (filter_output.h invariants).
-  stats.records_last_hashed_at.assign(sequence_.size(), 0);
-  for (RecordId r = 0; r < leaf_of_.size(); ++r) {
-    if (leaf_of_[r] == kInvalidNode) continue;
-    if (last_fn_[r] == kLastFunctionPairwise) {
-      ++stats.records_finished_by_pairwise;
-    } else {
-      ++stats.records_last_hashed_at[last_fn_[r]];
-    }
-  }
-  stats.modeled_cost =
-      cost_model_.cost_per_hash() * static_cast<double>(stats.hashes_computed) +
-      cost_model_.cost_per_pair() *
-          static_cast<double>(stats.pairwise_similarities);
-  ReportTermination(instr, stats, output.clusters.clusters.size());
+  // Definition 3 snapshot over every added record.
+  CountLastFunctions(
+      last_fn_, sequence_.size(),
+      [&](RecordId r) { return leaf_of_[r] != kInvalidNode; }, &stats);
+  ReportTermination(config_.instrumentation, stats,
+                    output.clusters.clusters.size());
   output.stats = std::move(stats);
   return output;
 }

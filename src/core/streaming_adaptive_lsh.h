@@ -84,13 +84,13 @@ class StreamingAdaptiveLsh {
     return pairwise_.total_similarities();
   }
 
+  /// Replaces the calibrated cost model (tests pin the jump-to-P schedule).
+  void set_cost_model(const CostModel& model) { cost_model_ = model; }
+
   const FunctionSequence& sequence() const { return sequence_; }
   const CostModel& cost_model() const { return cost_model_; }
 
  private:
-  /// Refreshes leaf_of_ for every record under `root`.
-  void ReindexLeaves(NodeId root);
-
   const Dataset* dataset_;
   MatchRule rule_;
   AdaptiveLshConfig config_;
@@ -118,9 +118,6 @@ class StreamingAdaptiveLsh {
   /// records_last_hashed_at accounting of every TopK call.
   std::vector<int> last_fn_;
   size_t num_added_ = 0;
-
-  /// Cumulative stream statistics (hashes are tracked by the engine).
-  uint64_t arrivals_merged_ = 0;
 };
 
 }  // namespace adalsh

@@ -493,6 +493,9 @@ StatusOr<EngineMutationResult> DurableEngine::Ingest(
     return resident_.has_value() ? resident_->Ingest({}, opts)
                                  : sharded_->Ingest({}, opts);
   }
+  // Reject before logging: a frame the engine refuses would poison replay.
+  Status config = ResidentEngine::CheckEngineConfig(options_.engine.config);
+  if (!config.ok()) return config;
   const Record& prototype =
       prototype_.has_value() ? *prototype_ : records.front();
   for (size_t i = 0; i < records.size(); ++i) {

@@ -1,6 +1,7 @@
 #include "engine/resident_engine.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -50,6 +51,23 @@ Status ResidentEngine::CheckRecordSchema(const Record& prototype,
           " has dimension " + std::to_string(field.size()) +
           ", engine schema has " + std::to_string(proto.size()));
     }
+  }
+  return Status::Ok();
+}
+
+Status ResidentEngine::CheckEngineConfig(const AdaptiveLshConfig& config) {
+  if (config.selection != SelectionStrategy::kLargestFirst) {
+    return Status::InvalidArgument(
+        "config.selection: the engine supports only kLargestFirst");
+  }
+  if (config.jump_model != JumpModel::kConservative) {
+    return Status::InvalidArgument(
+        "config.jump_model: the engine supports only kConservative");
+  }
+  if (config.ablate_incremental_reuse) {
+    return Status::InvalidArgument(
+        "config.ablate_incremental_reuse: the engine does not support the "
+        "ablation");
   }
   return Status::Ok();
 }
@@ -145,6 +163,8 @@ Status ResidentEngine::ValidateIngestLocked(
     if (!schema.ok()) return schema;
   }
   if (!initialized_) {
+    Status config = CheckEngineConfig(options_.config);
+    if (!config.ok()) return config;
     // Build the sequence before mutating anything: it is the only fallible
     // initialization step, and ingest is all-or-nothing.
     StatusOr<FunctionSequence> built = FunctionSequence::Build(
@@ -518,6 +538,7 @@ TerminationReason ResidentEngine::RefineLocked(const EngineBatchOptions& opts,
                                                std::vector<NodeId>* finals,
                                                FilterStats* out_stats) {
   const Instrumentation& instr = options_.config.instrumentation;
+  TraceRecorder::Span refine_span(instr.trace, "engine_refine", "engine");
   std::vector<NodeId> roots;
   {
     std::unordered_set<NodeId> seen;
@@ -540,22 +561,17 @@ TerminationReason ResidentEngine::RefineLocked(const EngineBatchOptions& opts,
   deps.leaf_of = &leaf_of_;
   deps.instrumentation = instr;
 
+  // Per-request SLO (docs/engine.md): the controller is armed with the
+  // cumulative counters as this pass's zero points.
+  std::optional<RunController> local_controller;
+  RunController* controller = ResolveController(
+      opts.controller, opts.budget, &local_controller,
+      engine_->total_hashes_computed(), pairwise_->total_similarities());
   FilterStats stats;
-  RunRefineLoop(deps, options_.top_k, roots, opts.controller, opts.budget,
-                finals, &stats);
-  // Definition 3 snapshot over every live record: each is counted exactly
-  // once, under the last function applied to it (filter_output.h invariants).
-  // This stays with the engine — it needs the live-record iteration the loop
-  // doesn't have.
-  stats.records_last_hashed_at.assign(sequence_->size(), 0);
-  for (size_t r = 0; r < live_.size(); ++r) {
-    if (!live_[r]) continue;
-    if (last_fn_[r] == kLastFunctionPairwise) {
-      ++stats.records_finished_by_pairwise;
-    } else {
-      ++stats.records_last_hashed_at[last_fn_[r]];
-    }
-  }
+  RunRefineLoop(deps, options_.top_k, roots, controller, finals, &stats);
+  // Definition 3 snapshot over every live record.
+  CountLastFunctions(last_fn_, sequence_->size(),
+                     [&](RecordId r) { return live_[r] != 0; }, &stats);
   ReportTermination(instr, stats, finals->size());
   *out_stats = std::move(stats);
   return out_stats->termination_reason;

@@ -146,9 +146,10 @@ struct EngineCounters {
 class ResidentEngine {
  public:
   struct Options {
-    /// Sequence/selection/threads/seed/instrumentation; `budget` and
-    /// `controller` act as the ambient default SLO applied when a mutation
-    /// passes no EngineBatchOptions of its own.
+    /// Sequence/threads/seed/instrumentation; `budget` and `controller` act
+    /// as the ambient default SLO applied when a mutation passes no
+    /// EngineBatchOptions of its own. The batch-only fields must keep their
+    /// defaults (CheckEngineConfig).
     AdaptiveLshConfig config;
 
     /// How many top clusters every refinement pass certifies and every
@@ -231,6 +232,13 @@ class ResidentEngine {
   static Status CheckRecordSchema(const Record& prototype,
                                   const Record& record, size_t index);
 
+  /// InvalidArgument naming the first AdaptiveLshConfig field only the batch
+  /// AdaptiveLsh honors — selection, jump_model, ablate_incremental_reuse —
+  /// set to a non-default value: the engines run canonical Largest-First with
+  /// Definition 3's jump rule, which their confluence contract relies on.
+  /// The first non-empty Ingest of every engine type returns it.
+  static Status CheckEngineConfig(const AdaptiveLshConfig& config);
+
   /// Copies of every live record with its external id, sorted by id — the
   /// checkpoint payload of the durability plane (docs/durability.md). Takes
   /// the mutation lock for the duration of the copy.
@@ -246,9 +254,9 @@ class ResidentEngine {
 
  private:
   /// Shared Ingest/IngestWithIds validation: schema check against the
-  /// prototype and, on the first non-empty batch, the fallible sequence
-  /// construction (the batch is all-or-nothing, so this runs before any
-  /// state changes).
+  /// prototype and, on the first non-empty batch, CheckEngineConfig and the
+  /// fallible sequence construction (the batch is all-or-nothing, so this
+  /// runs before any state changes).
   Status ValidateIngestLocked(const std::vector<Record>& records);
 
   /// One serialized mutation: validation has already passed. Applies
@@ -294,8 +302,10 @@ class ResidentEngine {
 
   /// The Algorithm 1 refinement loop with canonical Largest-First selection
   /// (size desc, smallest external id asc), delegated to the shared
-  /// core/refine_loop.h implementation. Returns the termination reason; on
-  /// kCompleted fills `finals` with the certified roots in canonical order.
+  /// core/refine_loop.h implementation, under the request's SLO armed at
+  /// the engine's cumulative counters, inside one `engine_refine` span.
+  /// Returns the termination reason; on kCompleted fills `finals` with the
+  /// certified roots in canonical order.
   TerminationReason RefineLocked(const EngineBatchOptions& opts,
                                  std::vector<NodeId>* finals,
                                  FilterStats* stats);

@@ -293,17 +293,11 @@ EngineSnapshot MergeShardStatesLocked(
   deps.instrumentation = instr;
   std::vector<NodeId> finals;
   FilterStats stats;
-  RunRefineLoop(deps, tmpl.top_k, roots, /*external=*/nullptr, RunBudget{},
-                &finals, &stats);
+  RunRefineLoop(deps, tmpl.top_k, roots, /*controller=*/nullptr, &finals,
+                &stats);
   ADALSH_CHECK(stats.termination_reason == TerminationReason::kCompleted);
-  stats.records_last_hashed_at.assign(sequence.size(), 0);
-  for (size_t g = 0; g < n; ++g) {
-    if (last_fn[g] == kLastFunctionPairwise) {
-      ++stats.records_finished_by_pairwise;
-    } else {
-      ++stats.records_last_hashed_at[last_fn[g]];
-    }
-  }
+  CountLastFunctions(last_fn, sequence.size(), [](RecordId) { return true; },
+                     &stats);
   ReportTermination(instr, stats, finals.size());
   const double refine_seconds = refine_timer.ElapsedSeconds();
   phase_span.reset();
@@ -349,6 +343,8 @@ Status ShardedEngine::EnsureShardsLocked(
     const std::vector<Record>& prototype_batch) {
   if (!shards_.empty()) return Status::Ok();
   ADALSH_CHECK(!prototype_batch.empty());
+  Status config = ResidentEngine::CheckEngineConfig(options_.engine.config);
+  if (!config.ok()) return config;
   // Sequence construction is the only fallible per-shard initialization
   // step; probing it once up front keeps a bad first batch all-or-nothing
   // (shard engines would otherwise each reject their sub-batch after other

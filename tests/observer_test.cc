@@ -10,6 +10,7 @@
 #include "core/lsh_blocking.h"
 #include "core/pairs_baseline.h"
 #include "core/streaming_adaptive_lsh.h"
+#include "obs/metrics_registry.h"
 #include "test_util.h"
 
 namespace adalsh {
@@ -98,6 +99,29 @@ void ExpectMatchesStats(const RecordingObserver& observer,
   }
 }
 
+// Metric parity: every round of the shared Algorithm 1 loop — the batch H_1
+// pass included — lands in the same counters and histograms the engine
+// records, one sample per round split by the action taken.
+void ExpectRoundMetricsMatchStats(const MetricsRegistry& registry,
+                                  const FilterStats& stats) {
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  uint64_t hash_rounds = 0;
+  for (const RoundRecord& round : stats.round_records) {
+    hash_rounds += round.action == RoundAction::kHash ? 1 : 0;
+  }
+  const uint64_t pairwise_rounds = stats.rounds - hash_rounds;
+  auto samples = [&](const char* name) -> uint64_t {
+    auto it = snapshot.histograms.find(name);
+    return it == snapshot.histograms.end() ? 0 : it->second.count();
+  };
+  auto rounds = snapshot.counters.find("rounds");
+  EXPECT_EQ(rounds == snapshot.counters.end() ? 0 : rounds->second,
+            stats.rounds);
+  EXPECT_EQ(samples("round_seconds"), stats.rounds);
+  EXPECT_EQ(samples("round_hash_seconds"), hash_rounds);
+  EXPECT_EQ(samples("round_pairwise_seconds"), pairwise_rounds);
+}
+
 TEST(ObserverTest, AdaptiveLshSequenceMatchesStats) {
   GeneratedDataset generated =
       test::MakePlantedDataset({25, 15, 8, 3, 1, 1}, 21);
@@ -107,11 +131,14 @@ TEST(ObserverTest, AdaptiveLshSequenceMatchesStats) {
   config.calibration_samples = 30;
   config.seed = 3;
   config.instrumentation.observer = &observer;
+  MetricsRegistry registry;
+  config.instrumentation.metrics = &registry;
   AdaptiveLsh adalsh(generated.dataset, generated.rule, config);
   FilterOutput output = adalsh.Run(3);
 
   ExpectWellBracketed(observer);
   ExpectMatchesStats(observer, output.stats);
+  ExpectRoundMetricsMatchStats(registry, output.stats);
 
   // The first round is the whole-dataset H_1 pass.
   ASSERT_FALSE(observer.starts.empty());
@@ -178,12 +205,15 @@ TEST(ObserverTest, StreamingTopKSequenceMatchesStats) {
   config.calibration_samples = 30;
   config.seed = 3;
   config.instrumentation.observer = &observer;
+  MetricsRegistry registry;
+  config.instrumentation.metrics = &registry;
   StreamingAdaptiveLsh streaming(generated.dataset, generated.rule, config);
   for (RecordId r : generated.dataset.AllRecordIds()) streaming.Add(r);
   FilterOutput output = streaming.TopK(2);
 
   ExpectWellBracketed(observer);
   ExpectMatchesStats(observer, output.stats);
+  ExpectRoundMetricsMatchStats(registry, output.stats);
 }
 
 }  // namespace

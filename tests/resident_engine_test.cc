@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/engine_report.h"
+#include "engine/sharded_executor.h"
 #include "engine_harness.h"
 #include "test_util.h"
 #include "util/fault_injection.h"
@@ -311,6 +312,48 @@ TEST(ResidentEngineTest, EngineReportCarriesSchemaCountersAndSnapshot) {
         "\"termination_reason\":\"completed\""}) {
     EXPECT_NE(report.find(needle), std::string::npos) << needle << "\n"
                                                       << report;
+  }
+}
+
+TEST(ResidentEngineTest, BatchOnlyConfigFieldsAreRejectedOnFirstIngest) {
+  // The engines run canonical Largest-First with Definition 3's jump rule;
+  // a batch-only knob must fail loudly instead of being silently ignored.
+  GeneratedDataset generated = test::MakePlantedDataset({4, 2}, 9);
+  struct Knob {
+    const char* field;
+    void (*set)(AdaptiveLshConfig*);
+  };
+  const Knob knobs[] = {
+      {"config.selection",
+       [](AdaptiveLshConfig* c) { c->selection = SelectionStrategy::kFifo; }},
+      {"config.jump_model",
+       [](AdaptiveLshConfig* c) {
+         c->jump_model = JumpModel::kSampledPurity;
+       }},
+      {"config.ablate_incremental_reuse",
+       [](AdaptiveLshConfig* c) { c->ablate_incremental_reuse = true; }},
+  };
+  for (const Knob& knob : knobs) {
+    ResidentEngine::Options options = test::EngineOptions(1, 2);
+    knob.set(&options.config);
+    ResidentEngine resident(generated.rule, options);
+    auto ingested = resident.Ingest(AllRecords(generated.dataset));
+    ASSERT_FALSE(ingested.ok()) << knob.field;
+    EXPECT_EQ(ingested.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(ingested.status().message().find(knob.field),
+              std::string::npos)
+        << ingested.status().ToString();
+    EXPECT_EQ(resident.counters().live_records, 0u);
+
+    ShardedEngine::Options sharded_options;
+    sharded_options.engine = options;
+    sharded_options.shards = 2;
+    ShardedEngine sharded(generated.rule, sharded_options);
+    auto routed = sharded.Ingest(AllRecords(generated.dataset));
+    ASSERT_FALSE(routed.ok()) << knob.field;
+    EXPECT_EQ(routed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(routed.status().message().find(knob.field), std::string::npos)
+        << routed.status().ToString();
   }
 }
 

@@ -6,6 +6,11 @@
 #include <thread>
 #include <vector>
 
+#include "core/adaptive_lsh.h"
+#include "core/cost_model.h"
+#include "engine/resident_engine.h"
+#include "engine_harness.h"
+#include "test_util.h"
 #include "util/thread_pool.h"
 
 namespace adalsh {
@@ -147,6 +152,73 @@ TEST(TraceRecorderTest, ConcurrentAddSpanIsSafe) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(recorder.num_spans(), 1000u);
+}
+
+// The benchmark's layer attribution (perfbench) assumes that on a traced
+// AdaptiveLsh::Run every top-level span of the driving lane is a `round`,
+// while the resident engine still frames each mutation's refinement in one
+// `engine_refine` span — the shared refinement loop opens neither.
+TEST(TraceRecorderTest, RefinementSpansKeepTheirShape) {
+  GeneratedDataset generated =
+      test::MakePlantedDataset({25, 15, 8, 3, 1, 1}, 21);
+  TraceRecorder recorder;
+  AdaptiveLshConfig config;
+  config.sequence.max_budget = 640;
+  config.calibration_samples = 10;
+  config.threads = 2;
+  config.seed = 3;
+  config.instrumentation.trace = &recorder;
+  AdaptiveLsh adalsh(generated.dataset, generated.rule, config);
+  adalsh.set_cost_model(CostModel(1e-7, 1e-7));  // hash and P rounds
+  const size_t first = recorder.num_spans();
+  FilterOutput output = adalsh.Run(3);
+  std::vector<TraceRecorder::SpanRecord> spans = recorder.Spans();
+  spans.erase(spans.begin(), spans.begin() + static_cast<ptrdiff_t>(first));
+  int lane = -1;
+  for (const auto& span : spans) {
+    if (span.name == "round") {
+      lane = span.lane;
+      break;
+    }
+  }
+  ASSERT_NE(lane, -1);
+  // RAII spans are recorded as they close, so a span's container on its
+  // lane is always recorded after it.
+  auto contains = [](const TraceRecorder::SpanRecord& outer,
+                     const TraceRecorder::SpanRecord& inner) {
+    return outer.start_seconds <= inner.start_seconds + 1e-9 &&
+           outer.start_seconds + outer.duration_seconds + 1e-9 >=
+               inner.start_seconds + inner.duration_seconds;
+  };
+  size_t rounds = 0;
+  for (size_t i = 0; i < spans.size(); ++i) {
+    if (spans[i].lane != lane) continue;
+    bool top_level = true;
+    for (size_t j = i + 1; j < spans.size() && top_level; ++j) {
+      if (spans[j].lane == lane && contains(spans[j], spans[i])) {
+        top_level = false;
+      }
+    }
+    if (!top_level) continue;
+    EXPECT_EQ(spans[i].name, "round") << "top-level span " << i;
+    ++rounds;
+  }
+  EXPECT_EQ(rounds, output.stats.rounds);
+
+  TraceRecorder engine_recorder;
+  ResidentEngine::Options options = test::EngineOptions(1, 3);
+  options.config.instrumentation.trace = &engine_recorder;
+  ResidentEngine engine(generated.rule, options);
+  std::vector<Record> records;
+  for (RecordId r : generated.dataset.AllRecordIds()) {
+    records.push_back(generated.dataset.record(r));
+  }
+  ASSERT_TRUE(engine.Ingest(std::move(records)).ok());
+  size_t engine_refines = 0;
+  for (const auto& span : engine_recorder.Spans()) {
+    engine_refines += span.name == "engine_refine" ? 1 : 0;
+  }
+  EXPECT_EQ(engine_refines, 1u);
 }
 
 }  // namespace

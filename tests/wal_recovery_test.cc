@@ -119,6 +119,26 @@ TEST(WalRecoveryTest, FreshDirectoryOpensEmptyAndServes) {
 // every (shards, threads) combination on every seed. The reopened engine
 // replays the WAL through the same confluence contract the differential
 // harness certifies, so any divergence is a durability bug, not noise.
+TEST(WalRecoveryTest, BatchOnlyConfigFieldIsRejectedBeforeLogging) {
+  // A frame the engine would refuse must never reach the log, or every
+  // recovery would replay it into the same refusal.
+  for (int shards : {0, 2}) {
+    TempDir dir;
+    DurableEngine::Options options = DurableOptions(shards, 1, 3, dir.path());
+    options.engine.config.selection = SelectionStrategy::kSmallestFirst;
+    auto engine = DurableEngine::Open(MatchRule::Leaf(0, 0.5), options);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    GeneratedDataset generated = test::MakePlantedDataset({3}, 3);
+    auto ingested = engine.value()->Ingest(Slice(generated.dataset, 0, 3));
+    ASSERT_FALSE(ingested.ok()) << "shards " << shards;
+    EXPECT_EQ(ingested.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(ingested.status().message().find("config.selection"),
+              std::string::npos);
+    EXPECT_EQ(engine.value()->durability_stats().wal_frames_appended, 0u);
+    EXPECT_FALSE(engine.value()->degraded());
+  }
+}
+
 TEST(WalRecoveryTest, RecoveredEngineMatchesReferenceAcrossSeedsThreadsShards) {
   constexpr int kShardCounts[] = {0, 1, 4};
   constexpr int kThreadCounts[] = {1, 2, 8};
