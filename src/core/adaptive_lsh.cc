@@ -119,6 +119,25 @@ Status AdaptiveLshConfig::Validate() const {
   return budget.Validate();
 }
 
+Status AdaptiveLshConfig::ValidateForRefineLoop() const {
+  if (selection != SelectionStrategy::kLargestFirst) {
+    return Status::InvalidArgument(
+        "config.selection: only AdaptiveLsh::Run supports a selection other "
+        "than kLargestFirst");
+  }
+  if (jump_model != JumpModel::kConservative) {
+    return Status::InvalidArgument(
+        "config.jump_model: only AdaptiveLsh::Run supports a jump model other "
+        "than kConservative");
+  }
+  if (ablate_incremental_reuse) {
+    return Status::InvalidArgument(
+        "config.ablate_incremental_reuse: only AdaptiveLsh::Run supports the "
+        "ablation");
+  }
+  return Status::Ok();
+}
+
 AdaptiveLsh::AdaptiveLsh(const Dataset& dataset, const MatchRule& rule,
                          const AdaptiveLshConfig& config)
     : dataset_(&dataset),

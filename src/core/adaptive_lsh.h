@@ -87,6 +87,14 @@ struct AdaptiveLshConfig {
   /// message on the first violation; OkStatus when a construction from this
   /// config cannot abort on config grounds.
   Status Validate() const;
+
+  /// InvalidArgument naming the first field only AdaptiveLsh::Run honors —
+  /// selection, jump_model, ablate_incremental_reuse — when it is set to a
+  /// non-default value. RunRefineLoop (core/refine_loop.h) runs canonical
+  /// Largest-First with Definition 3's jump rule, which the engines'
+  /// confluence contract relies on, so its other drivers (the streaming mode
+  /// and every engine type) reject these fields instead of ignoring them.
+  Status ValidateForRefineLoop() const;
 };
 
 /// Adaptive LSH — Algorithm 1, the paper's primary contribution. Filters a

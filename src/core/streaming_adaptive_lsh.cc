@@ -45,21 +45,24 @@ StreamingAdaptiveLsh::StreamingAdaptiveLsh(const Dataset& dataset,
 void StreamingAdaptiveLsh::Add(RecordId r) {
   ADALSH_CHECK_LT(r, dataset_->num_records());
   ADALSH_CHECK_EQ(leaf_of_[r], kInvalidNode) << "record added twice";
+  if (num_added_ == 0) {
+    Status config = config_.ValidateForRefineLoop();
+    ADALSH_CHECK(config.ok()) << config.ToString();
+  }
   const SchemePlan& plan = sequence_.plan(0);
   engine_.EnsureHashes(r, plan);
   last_fn_[r] = 0;  // arrival evidence is level-1 only
   ++num_added_;
 
   for (size_t t = 0; t < plan.tables.size(); ++t) {
-    uint64_t key = engine_.TableKey(r, plan.tables[t]);
-    auto [it, inserted] = level1_tables_[t].try_emplace(key, r);
-    if (inserted) {
+    RecordId other =
+        level1_tables_[t].Exchange(engine_.TableKey(r, plan.tables[t]), r);
+    if (other == BucketTable::kNone) {
       if (leaf_of_[r] == kInvalidNode) {
         forest_.MakeTree(r, /*producer=*/0, &leaf_of_[r]);
       }
       continue;
     }
-    RecordId other = it->second;
     NodeId other_root = forest_.FindRoot(leaf_of_[other]);
     if (leaf_of_[r] == kInvalidNode) {
       leaf_of_[r] = forest_.AddLeaf(other_root, r);
@@ -73,7 +76,6 @@ void StreamingAdaptiveLsh::Add(RecordId r) {
         forest_.SetProducer(survivor, 0);
       }
     }
-    it->second = r;
   }
   if (plan.tables.empty() && leaf_of_[r] == kInvalidNode) {
     forest_.MakeTree(r, 0, &leaf_of_[r]);
@@ -81,6 +83,10 @@ void StreamingAdaptiveLsh::Add(RecordId r) {
 }
 
 Status StreamingAdaptiveLsh::Extend(std::span<const RecordId> records) {
+  if (num_added_ == 0) {
+    Status config = config_.ValidateForRefineLoop();
+    if (!config.ok()) return config;
+  }
   if (config_.controller != nullptr &&
       config_.controller->cancel_requested()) {
     return Status::FailedPrecondition(

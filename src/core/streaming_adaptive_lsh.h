@@ -4,10 +4,10 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/adaptive_lsh.h"
+#include "core/bucket_table.h"
 #include "core/cost_model.h"
 #include "core/filter_output.h"
 #include "core/function_sequence.h"
@@ -52,6 +52,8 @@ class StreamingAdaptiveLsh {
 
   /// Ingests record r: applies H_1's hash functions and merges r into the
   /// clusters sharing a bucket. O(budget_1) hashes plus table operations.
+  /// Aborts where Extend would return an error (the first Add included, when
+  /// the config sets a field TopK's refinement loop does not honor).
   void Add(RecordId r);
 
   /// Batch-ingest hook for long-lived owners (the resident engine): validates
@@ -59,6 +61,10 @@ class StreamingAdaptiveLsh {
   /// given order. Transparently grows the per-record state when the dataset
   /// gained records since construction. All-or-nothing: a validation failure
   /// returns before any record is ingested.
+  ///   * InvalidArgument — before the first record is ingested: the config
+  ///     sets selection, jump_model or ablate_incremental_reuse, which TopK's
+  ///     refinement loop does not honor (AdaptiveLshConfig::
+  ///     ValidateForRefineLoop).
   ///   * FailedPrecondition — the attached controller holds a sticky
   ///     Cancel(); an extend must not race a pending cancellation.
   ///   * OutOfRange — an id is >= dataset.num_records().
@@ -107,7 +113,7 @@ class StreamingAdaptiveLsh {
 
   /// Persistent H_1 tables: bucket key -> record last added (Appendix B.2's
   /// bucket representation, kept alive across the stream).
-  std::vector<std::unordered_map<uint64_t, RecordId>> level1_tables_;
+  std::vector<BucketTable> level1_tables_;
 
   /// Record -> its current leaf node (kInvalidNode until added).
   std::vector<NodeId> leaf_of_;

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <span>
-#include <unordered_map>
 #include <unordered_set>
 
+#include "core/bucket_table.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace_recorder.h"
 #include "util/check.h"
@@ -14,10 +14,8 @@
 namespace adalsh {
 namespace {
 
-/// Records whose keys are computed per fork/join region. Bounds the key
-/// buffer to kKeyBlock * num_tables values no matter how large the dataset
-/// is, while keeping each fork large enough to amortize the join.
-constexpr size_t kKeyBlock = 8192;
+/// How many records ahead the predecessor pass prefetches a table's slot.
+constexpr size_t kPrefetchAhead = 16;
 
 }  // namespace
 
@@ -32,14 +30,19 @@ TransitiveHasher::TransitiveHasher(HashEngine* engine,
       instr_(instr),
       controller_(controller) {
   ADALSH_CHECK(engine != nullptr && forest != nullptr);
-  leaf_of_.assign(num_records, kInvalidNode);
-  leaf_epoch_.assign(num_records, 0);
+  leaf_of_.assign(num_records, LeafStamp{});
 }
 
 void TransitiveHasher::GrowTo(size_t num_records) {
   if (num_records <= leaf_of_.size()) return;
-  leaf_of_.resize(num_records, kInvalidNode);
-  leaf_epoch_.resize(num_records, 0);
+  leaf_of_.resize(num_records, LeafStamp{});
+}
+
+NodeId TransitiveHasher::MakeLeafTree(RecordId r, int producer) {
+  NodeId leaf = kInvalidNode;
+  NodeId root = forest_->MakeTree(r, producer, &leaf);
+  leaf_of_[r] = {leaf, epoch_};
+  return root;
 }
 
 std::vector<NodeId> TransitiveHasher::Apply(
@@ -56,11 +59,9 @@ std::vector<NodeId> TransitiveHasher::Apply(
 
   // Fresh tables for this invocation; buckets remember only the last-added
   // record (Appendix B.2).
-  std::vector<std::unordered_map<uint64_t, RecordId>> tables(
-      plan.tables.size());
-  for (auto& table : tables) table.reserve(records.size() * 2);
+  std::vector<BucketTable> tables(plan.tables.size());
 
-  auto has_leaf = [this](RecordId r) { return leaf_epoch_[r] == epoch_; };
+  auto has_leaf = [this](RecordId r) { return leaf_of_[r].epoch == epoch_; };
 
   const size_t num_tables = plan.tables.size();
   engine_->PreparePlan(plan);
@@ -99,43 +100,59 @@ std::vector<NodeId> TransitiveHasher::Apply(
     FaultInjectionPoint(FaultSite::kMerge);
     TraceRecorder::Span merge_span(instr_.trace, "merge", "hash");
     merge_span.AddArg("records", static_cast<double>(count));
+
+    // Predecessor pass, one table at a time: each key is overwritten with
+    // the record its bucket held when this record arrived (kNone for an
+    // empty bucket), and the record becomes the bucket's last-added one.
+    // A function's tables see keys of one distribution, so each table is
+    // sized from the previous one's distinct-key count, which saves most
+    // of the doubling rehashes.
+    for (size_t t = 0; t < num_tables; ++t) {
+      BucketTable& table = tables[t];
+      if (t > 0) table.Reserve(tables[t - 1].size());
+      for (size_t i = 0; i < count; ++i) {
+        if (i + kPrefetchAhead < count) {
+          table.Prefetch(key_block_[(i + kPrefetchAhead) * num_tables + t]);
+        }
+        uint64_t& slot = key_block_[i * num_tables + t];
+        slot = table.Exchange(slot, block[i]);
+      }
+    }
+
+    // Replay of Fig. 19's four cases in record order, then table order —
+    // the forest calls the bucket-at-a-time loop would make. `root` caches
+    // r's root: only r's own steps touch the forest during its table loop.
+    // A predecessor equal to the previous one is skipped: r already joined
+    // its tree a step ago, trees only merge within a pass, so the step
+    // would change nothing.
     for (size_t i = 0; i < count; ++i) {
-      RecordId r = block[i];
+      const RecordId r = block[i];
+      NodeId root =
+          has_leaf(r) ? forest_->FindRoot(leaf_of_[r].leaf) : kInvalidNode;
+      RecordId last = BucketTable::kNone;
       for (size_t t = 0; t < num_tables; ++t) {
-        uint64_t key = key_block_[i * num_tables + t];
-        auto [it, inserted] = tables[t].try_emplace(key, r);
-        if (inserted) {
-          // Cases 1/2 (Fig. 19a): empty bucket. Create r's tree if it has
-          // none; either way r is now the bucket's last-added record.
-          if (!has_leaf(r)) {
-            NodeId leaf = kInvalidNode;
-            forest_->MakeTree(r, producer, &leaf);
-            leaf_of_[r] = leaf;
-            leaf_epoch_[r] = epoch_;
-          }
+        const auto other =
+            static_cast<RecordId>(key_block_[i * num_tables + t]);
+        if (other == BucketTable::kNone) {
+          // Cases 1/2 (Fig. 19a): empty bucket. Create r's tree if needed.
+          if (root == kInvalidNode) root = MakeLeafTree(r, producer);
           continue;
         }
-        RecordId other = it->second;
+        if (other == last) continue;
+        last = other;
         ADALSH_CHECK(has_leaf(other));
-        NodeId other_root = forest_->FindRoot(leaf_of_[other]);
-        if (!has_leaf(r)) {
+        NodeId other_root = forest_->FindRoot(leaf_of_[other].leaf);
+        if (root == kInvalidNode) {
           // Case 3 (Fig. 19b): join the bucket's tree as a fresh leaf.
-          leaf_of_[r] = forest_->AddLeaf(other_root, r);
-          leaf_epoch_[r] = epoch_;
-        } else {
-          // Case 4 (Fig. 19c): merge the two trees if they differ.
-          NodeId my_root = forest_->FindRoot(leaf_of_[r]);
-          if (my_root != other_root) forest_->Merge(my_root, other_root);
+          leaf_of_[r] = {forest_->AddLeaf(other_root, r), epoch_};
+          root = other_root;
+        } else if (root != other_root) {
+          // Case 4 (Fig. 19c): merge the two trees.
+          root = forest_->Merge(root, other_root);
         }
-        it->second = r;  // r is now the record last added to this bucket
       }
-      if (plan.tables.empty() && !has_leaf(r)) {
-        // Degenerate plan with no tables: every record is its own cluster.
-        NodeId leaf = kInvalidNode;
-        forest_->MakeTree(r, producer, &leaf);
-        leaf_of_[r] = leaf;
-        leaf_epoch_[r] = epoch_;
-      }
+      // Degenerate plan with no tables: every record is its own cluster.
+      if (root == kInvalidNode) MakeLeafTree(r, producer);
     }
   }
 
@@ -148,7 +165,7 @@ std::vector<NodeId> TransitiveHasher::Apply(
     seen.reserve(records.size());
     for (RecordId r : records) {
       ADALSH_CHECK(has_leaf(r));
-      NodeId root = forest_->FindRoot(leaf_of_[r]);
+      NodeId root = forest_->FindRoot(leaf_of_[r].leaf);
       if (seen.insert(root).second) roots.push_back(root);
     }
   }

@@ -25,13 +25,25 @@ namespace adalsh {
 ///
 /// Parallel execution (docs/threading.md): hash evaluation and bucket-key
 /// construction — the run's hot path — are farmed out to `pool` in blocks of
-/// records, while the bucket/forest merge consumes the precomputed keys
-/// serially in record order. The merge is the only stateful step ("bucket
-/// remembers the last-added record", Fig. 19's four cases), so keeping it
-/// serial makes the output byte-identical to a single-threaded run at any
-/// thread count.
+/// kKeyBlock records. The bucket/forest merge then runs serially on the
+/// driving thread, in two steps per block:
+///   * predecessor pass — per table, in record order, each key is exchanged
+///     in a flat BucketTable (core/bucket_table.h) for the record its bucket
+///     held before, written in place over the key buffer;
+///   * replay — in record order, then table order, the predecessors drive
+///     Fig. 19's four cases, issuing exactly the MakeTree/AddLeaf/Merge
+///     calls a bucket-at-a-time loop would, minus steps that are provably
+///     no-ops (a predecessor equal to the one just joined).
+/// The merge is the only stateful step ("bucket remembers the last-added
+/// record"), so keeping it serial makes the output byte-identical to a
+/// single-threaded run at any thread count.
 class TransitiveHasher {
  public:
+  /// Records whose keys are computed per fork/join region. Bounds the key
+  /// buffer to kKeyBlock * num_tables values no matter how large the dataset
+  /// is, while keeping each fork large enough to amortize the join.
+  static constexpr size_t kKeyBlock = 8192;
+
   /// `pool` may be null for strictly serial execution. `instr` attaches
   /// observability sinks: each Apply emits a `hash_pass` trace span (plus a
   /// `merge` span per serial merge block), an Observer::OnFunctionApplied
@@ -75,15 +87,26 @@ class TransitiveHasher {
   bool last_apply_interrupted() const { return interrupted_; }
 
  private:
+  /// Case 1 of Fig. 19a: a new single-leaf tree for r; returns its root.
+  NodeId MakeLeafTree(RecordId r, int producer);
+
   HashEngine* engine_;
   ParentPointerForest* forest_;
   ThreadPool* pool_;
   Instrumentation instr_;
   RunController* controller_;
   bool interrupted_ = false;
-  std::vector<NodeId> leaf_of_;      // valid when leaf_epoch_[r] == epoch_
-  std::vector<uint32_t> leaf_epoch_;
-  std::vector<uint64_t> key_block_;  // reused per-block key buffer
+  /// Record -> its leaf in the current invocation: valid when `epoch` is
+  /// the invocation's epoch_. One slot per record, so the check and the
+  /// leaf share a cache line.
+  struct LeafStamp {
+    NodeId leaf = kInvalidNode;
+    uint32_t epoch = 0;
+  };
+  std::vector<LeafStamp> leaf_of_;
+  /// Reused per-block buffer: bucket keys, then (after the predecessor
+  /// pass) the predecessor record of each (record, table) pair.
+  std::vector<uint64_t> key_block_;
   uint32_t epoch_ = 0;
 };
 

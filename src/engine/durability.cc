@@ -494,7 +494,7 @@ StatusOr<EngineMutationResult> DurableEngine::Ingest(
                                  : sharded_->Ingest({}, opts);
   }
   // Reject before logging: a frame the engine refuses would poison replay.
-  Status config = ResidentEngine::CheckEngineConfig(options_.engine.config);
+  Status config = options_.engine.config.ValidateForRefineLoop();
   if (!config.ok()) return config;
   const Record& prototype =
       prototype_.has_value() ? *prototype_ : records.front();

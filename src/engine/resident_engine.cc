@@ -55,23 +55,6 @@ Status ResidentEngine::CheckRecordSchema(const Record& prototype,
   return Status::Ok();
 }
 
-Status ResidentEngine::CheckEngineConfig(const AdaptiveLshConfig& config) {
-  if (config.selection != SelectionStrategy::kLargestFirst) {
-    return Status::InvalidArgument(
-        "config.selection: the engine supports only kLargestFirst");
-  }
-  if (config.jump_model != JumpModel::kConservative) {
-    return Status::InvalidArgument(
-        "config.jump_model: the engine supports only kConservative");
-  }
-  if (config.ablate_incremental_reuse) {
-    return Status::InvalidArgument(
-        "config.ablate_incremental_reuse: the engine does not support the "
-        "ablation");
-  }
-  return Status::Ok();
-}
-
 ResidentEngine::ResidentEngine(MatchRule rule, Options options)
     : rule_(std::move(rule)),
       options_(std::move(options)),
@@ -163,7 +146,7 @@ Status ResidentEngine::ValidateIngestLocked(
     if (!schema.ok()) return schema;
   }
   if (!initialized_) {
-    Status config = CheckEngineConfig(options_.config);
+    Status config = options_.config.ValidateForRefineLoop();
     if (!config.ok()) return config;
     // Build the sequence before mutating anything: it is the only fallible
     // initialization step, and ingest is all-or-nothing.

@@ -149,7 +149,7 @@ class ResidentEngine {
     /// Sequence/threads/seed/instrumentation; `budget` and `controller` act
     /// as the ambient default SLO applied when a mutation passes no
     /// EngineBatchOptions of its own. The batch-only fields must keep their
-    /// defaults (CheckEngineConfig).
+    /// defaults (AdaptiveLshConfig::ValidateForRefineLoop).
     AdaptiveLshConfig config;
 
     /// How many top clusters every refinement pass certifies and every
@@ -232,12 +232,6 @@ class ResidentEngine {
   static Status CheckRecordSchema(const Record& prototype,
                                   const Record& record, size_t index);
 
-  /// InvalidArgument naming the first AdaptiveLshConfig field only the batch
-  /// AdaptiveLsh honors — selection, jump_model, ablate_incremental_reuse —
-  /// set to a non-default value: the engines run canonical Largest-First with
-  /// Definition 3's jump rule, which their confluence contract relies on.
-  /// The first non-empty Ingest of every engine type returns it.
-  static Status CheckEngineConfig(const AdaptiveLshConfig& config);
 
   /// Copies of every live record with its external id, sorted by id — the
   /// checkpoint payload of the durability plane (docs/durability.md). Takes
@@ -254,9 +248,9 @@ class ResidentEngine {
 
  private:
   /// Shared Ingest/IngestWithIds validation: schema check against the
-  /// prototype and, on the first non-empty batch, CheckEngineConfig and the
-  /// fallible sequence construction (the batch is all-or-nothing, so this
-  /// runs before any state changes).
+  /// prototype and, on the first non-empty batch, the config's
+  /// ValidateForRefineLoop and the fallible sequence construction (the batch
+  /// is all-or-nothing, so this runs before any state changes).
   Status ValidateIngestLocked(const std::vector<Record>& records);
 
   /// One serialized mutation: validation has already passed. Applies

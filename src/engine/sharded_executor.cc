@@ -343,7 +343,7 @@ Status ShardedEngine::EnsureShardsLocked(
     const std::vector<Record>& prototype_batch) {
   if (!shards_.empty()) return Status::Ok();
   ADALSH_CHECK(!prototype_batch.empty());
-  Status config = ResidentEngine::CheckEngineConfig(options_.engine.config);
+  Status config = options_.engine.config.ValidateForRefineLoop();
   if (!config.ok()) return config;
   // Sequence construction is the only fallible per-shard initialization
   // step; probing it once up front keeps a bad first batch all-or-nothing

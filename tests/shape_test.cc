@@ -103,6 +103,10 @@ TEST(ShapeTest, BkThenRecoveryRestoresSplitStories) {
   config.calibration_samples = 30;
   config.seed = 5;
   AdaptiveLsh adalsh(generated.dataset, generated.rule, config);
+  // Fixed model (hashes 10x a pair evaluation), as in
+  // AdaptiveHashWorkBetweenTheExtremes: the wall-clock calibration moves
+  // the jump-to-P schedule with machine load, and with it both recalls.
+  adalsh.set_cost_model(CostModel(1e-7, 1e-8));
   int k = 5;
   FilterOutput at_bk = adalsh.Run(3 * k);
   Clustering recovered =

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "test_util.h"
@@ -153,12 +154,53 @@ TEST(StreamingTest, ExtendAfterStickyCancelReturnsFailedPrecondition) {
   EXPECT_EQ(stream.num_added(), 3u);
 }
 
+TEST(StreamingTest, BatchOnlyConfigFieldsAreRejectedOnFirstExtend) {
+  // TopK runs the canonical refinement loop: Largest-First with
+  // Definition 3's jump rule. A batch-only knob must fail loudly instead of
+  // being silently ignored, before any record is ingested.
+  GeneratedDataset generated = test::MakePlantedDataset({4, 2}, 9);
+  struct Knob {
+    const char* field;
+    void (*set)(AdaptiveLshConfig*);
+  };
+  const Knob knobs[] = {
+      {"config.selection",
+       [](AdaptiveLshConfig* c) { c->selection = SelectionStrategy::kFifo; }},
+      {"config.jump_model",
+       [](AdaptiveLshConfig* c) {
+         c->jump_model = JumpModel::kSampledPurity;
+       }},
+      {"config.ablate_incremental_reuse",
+       [](AdaptiveLshConfig* c) { c->ablate_incremental_reuse = true; }},
+  };
+  const std::vector<RecordId> ids = generated.dataset.AllRecordIds();
+  for (const Knob& knob : knobs) {
+    AdaptiveLshConfig config = SmallConfig();
+    knob.set(&config);
+    StreamingAdaptiveLsh stream(generated.dataset, generated.rule, config);
+    Status status = stream.Extend(ids);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << knob.field;
+    EXPECT_NE(status.message().find(knob.field), std::string::npos)
+        << status.ToString();
+    EXPECT_EQ(stream.num_added(), 0u);
+    EXPECT_EQ(stream.total_hashes_computed(), 0u);
+  }
+}
+
 TEST(StreamingDeathTest, DoubleAddAborts) {
   GeneratedDataset generated = test::MakePlantedDataset({3}, 15);
   StreamingAdaptiveLsh stream(generated.dataset, generated.rule,
                               SmallConfig());
   stream.Add(0);
   EXPECT_DEATH(stream.Add(0), "added twice");
+}
+
+TEST(StreamingDeathTest, AddWithBatchOnlyConfigFieldAborts) {
+  GeneratedDataset generated = test::MakePlantedDataset({3}, 19);
+  AdaptiveLshConfig config = SmallConfig();
+  config.selection = SelectionStrategy::kRandom;
+  StreamingAdaptiveLsh stream(generated.dataset, generated.rule, config);
+  EXPECT_DEATH(stream.Add(0), "config.selection");
 }
 
 TEST(StreamingDeathTest, TopKBeforeAddAborts) {

@@ -49,6 +49,16 @@
 #
 #   tools/run_sanitized_tests.sh address -R 'wal_test|wal_recovery|crash_smoke'
 #
+# docs/threading.md requires the address and undefined runs for any change
+# to the bucket merge (src/core/bucket_table.h, TransitiveHasher::Apply's
+# predecessor pass and replay, StreamingAdaptiveLsh::Add): the flat tables
+# probe raw slot arrays and the replay reads record ids written over the key
+# buffer, so an indexing slip is an out-of-bounds access before it is a
+# wrong forest. The merge runs on the driving thread only, so no TSan run is
+# required for it:
+#
+#   tools/run_sanitized_tests.sh address -R 'transitive_hash|streaming_adaptive|schedule_golden|shape'
+#
 # docs/simd.md requires the address and undefined runs for any change to the
 # vector kernels (util/simd_kernels.cc) or the SoA layouts feeding them
 # (FeatureCache, RandomHyperplaneFamily): after the main ctest pass (which
